@@ -3,103 +3,25 @@
 Parse a PD code, label its edge ends, augment every region so the
 projection alternates, then merge the augmenting circles into a single
 unknotted component; an independent checker certifies the result.
+
+The names below are the ones the README's Library example uses; the rest
+of the API lives in the submodules (``alternator.diagram``,
+``alternator.augment``, ``alternator.moves``, ``alternator.merge``, ...).
 """
 
-from .augment import (
-    AugmentedDiagram,
-    Circle,
-    augment_regions,
-    circles_of,
-    from_parsed,
-    region_incidences,
-)
-from .codec import (
-    PdCode,
-    canonical_pd,
-    diagram_from_json,
-    emit_json,
-    emit_pd,
-    parse_pd,
-)
-from .diagram import (
-    Crossing,
-    Diagram,
-    Edge,
-    EdgeClass,
-    EdgeLabelPair,
-    Face,
-    Sign,
-    Tag,
-    build_diagram,
-    classification_counts,
-    classify_edges,
-    end_label,
-    is_alternating,
-    non_alternating_edges,
-    strand_components,
-    trace_faces,
-)
-from .gen import BraidWord, braid_closure, enumerate_words, random_diagram
-from .merge import (
-    Component,
-    DualPath,
-    components,
-    find_dual_path,
-    full_pipeline,
-    full_pipeline_with_stats,
-    merge_all,
-    merge_once,
-)
-from .moves import MoveSite, type_i_merge, type_ii_push
-from .verify import Report, restriction, verify
+from .codec import emit_pd, parse_pd
+from .diagram import is_alternating
+from .errors import AlternatorError
+from .merge import full_pipeline_with_stats
+from .verify import verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedDiagram",
-    "BraidWord",
-    "Circle",
-    "Component",
-    "Crossing",
-    "Diagram",
-    "DualPath",
-    "Edge",
-    "EdgeClass",
-    "EdgeLabelPair",
-    "Face",
-    "MoveSite",
-    "PdCode",
-    "Report",
-    "Sign",
-    "Tag",
-    "augment_regions",
-    "braid_closure",
-    "build_diagram",
-    "canonical_pd",
-    "circles_of",
-    "classification_counts",
-    "classify_edges",
-    "components",
-    "diagram_from_json",
-    "emit_json",
+    "AlternatorError",
     "emit_pd",
-    "end_label",
-    "enumerate_words",
-    "find_dual_path",
-    "from_parsed",
-    "full_pipeline",
     "full_pipeline_with_stats",
     "is_alternating",
-    "merge_all",
-    "merge_once",
-    "non_alternating_edges",
     "parse_pd",
-    "random_diagram",
-    "region_incidences",
-    "restriction",
-    "strand_components",
-    "trace_faces",
-    "type_i_merge",
-    "type_ii_push",
     "verify",
 ]

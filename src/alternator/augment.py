@@ -89,17 +89,6 @@ def from_parsed(diagram: Diagram) -> AugmentedDiagram:
     return make_augmented(diagram, provenance=None)
 
 
-def identity_provenance(diagram: Diagram) -> dict[int, int]:
-    return {
-        eid: eid for eid, e in diagram.edges.items() if e.tag is Tag.ORIGINAL
-    }
-
-
-def circles_of(aug: AugmentedDiagram) -> list[Circle]:
-    """Recompute the circles of an augmented diagram (deterministic ids)."""
-    return list(compute_circles(aug.diagram))
-
-
 def region_incidences(diagram: Diagram, face: Face) -> list[tuple[int, Sign]]:
     """Non-alternating edge incidences of a face, in boundary cyclic order.
 
@@ -135,6 +124,9 @@ def augment_regions(diagram: Diagram) -> AugmentedDiagram:
     output has one extra crossing per non-alternating input edge, and
     deleting the augmenting edges recovers the input exactly.
     """
+    provenance = {
+        eid: eid for eid, e in diagram.edges.items() if e.tag is Tag.ORIGINAL
+    }
     classes = dgm.classify_edges(diagram)
     nonalt = [
         eid
@@ -142,7 +134,7 @@ def augment_regions(diagram: Diagram) -> AugmentedDiagram:
         if classes[eid].classification is not EdgeClass.ALTERNATING
     ]
     if not nonalt:
-        return make_augmented(diagram, identity_provenance(diagram))
+        return make_augmented(diagram, provenance)
 
     faces = dgm.trace_faces(diagram)
     # fix the arc plan on the old diagram before any surgery: incidences in
@@ -155,7 +147,6 @@ def augment_regions(diagram: Diagram) -> AugmentedDiagram:
 
     crossings = dict(diagram.crossings)
     edges = dict(diagram.edges)
-    provenance = identity_provenance(diagram)
     next_c = diagram.max_crossing_id() + 1
     next_d = diagram.max_dart_id() + 1
     next_e = diagram.max_edge_id() + 1

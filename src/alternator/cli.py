@@ -22,7 +22,7 @@ from . import codec
 from . import diagram as dgm
 from . import gen as gen_mod
 from . import merge as merge_mod
-from .diagram import EdgeClass
+from .diagram import EdgeClass, Tag
 from .errors import AlternatorError
 from .verify import verify as run_verify
 
@@ -100,6 +100,14 @@ def _emit_graph(diagram, path: str) -> None:
 
 def cmd_run(args) -> int:
     d = _parse_or_exit(_read_input(args.input))
+    if any(e.tag is Tag.AUGMENT for e in d.edges.values()):
+        print(
+            "error: input already names augmenting edges in its A{...} block; "
+            "run takes a plain projection (to check a result against its "
+            "original, use 'alternator verify ORIGINAL RESULT')",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT_ERROR
     already = dgm.is_alternating(d)
     if already and args.strict:
         print("input is already alternating", file=sys.stderr)

@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 from . import diagram as dgm
 from .augment import AugmentedDiagram, augment_regions
-from .diagram import Diagram, Tag
+from .diagram import Diagram, Face, Tag
 from .errors import InternalInvariantError, NoPath
-from .moves import (
-    MoveSite,
-    type_i_merge_with_record,
-    type_ii_push_with_record,
-)
+from .moves import MoveSite, type_i_merge, type_ii_push
 
 
 @dataclass(frozen=True)
@@ -109,20 +105,22 @@ def _touches(d: Diagram, face_darts, edge_set: set[int]) -> bool:
 
 
 def _dual_bfs(
-    d: Diagram, src_edges: set[int], tgt_edges: set[int]
+    d: Diagram, faces: list[Face], src_edges: set[int], tgt_edges: set[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shortest face path from circle to circle across original edges.
 
-    Returns (face ids, crossed-edge darts); a single face and no steps when
-    the circles already share a face.  Neighbor expansion goes by smallest
-    dart id, sources by smallest face id, so the result is deterministic.
+    Returns (face ids, crossed-edge darts); the least shared face and no
+    steps when the circles already share a face.  Neighbor expansion goes by
+    smallest dart id, sources by smallest face id, so the result is
+    deterministic.
     """
-    faces = dgm.trace_faces(d)
+    for face in faces:
+        if _touches(d, face.darts, src_edges) and _touches(
+            d, face.darts, tgt_edges
+        ):
+            return (face.id,), ()
     starts = [f.id for f in faces if _touches(d, f.darts, src_edges)]
     targets = {f.id for f in faces if _touches(d, f.darts, tgt_edges)}
-    for fid in starts:
-        if fid in targets:
-            return (fid,), ()
 
     parent: dict[int, tuple[int, int] | None] = {fid: None for fid in starts}
     queue = deque(starts)
@@ -170,15 +168,11 @@ def find_dual_path(
     circles = {c.id: c for c in aug.circles}
     faces, steps = _dual_bfs(
         aug.diagram,
+        dgm.trace_faces(aug.diagram),
         set(circles[source_circle].edges),
         set(circles[target_circle].edges),
     )
     return DualPath(faces=faces, steps=steps)
-
-
-def merge_once(aug: AugmentedDiagram) -> AugmentedDiagram:
-    out, _ = merge_once_with_stats(aug)
-    return out
 
 
 def merge_once_with_stats(
@@ -189,7 +183,9 @@ def merge_once_with_stats(
     The component with the least id among those touching two circles is
     chosen, then its two least boundary circles.  The source circle is
     tracked through pushes by its edge set; after each push the freshly
-    created middle segment leads the propagation.
+    created middle segment leads the propagation.  A dual path of zero
+    steps means the circles share its face, and a band merge there ends
+    the round.
     """
     if aug.circle_count < 2:
         raise ValueError("merge needs at least two circles")
@@ -205,65 +201,27 @@ def merge_once_with_stats(
     while True:
         d = aug.diagram
         faces = dgm.trace_faces(d)
-        shared = None
-        for face in faces:
-            if _touches(d, face.darts, src_edges) and _touches(
-                d, face.darts, tgt_edges
-            ):
-                shared = face
-                break
-        if shared is not None:
-            a = min(
-                dart for dart in shared.darts if d.edge_of(dart) in src_edges
-            )
-            b = min(
-                dart for dart in shared.darts if d.edge_of(dart) in tgt_edges
-            )
-            out, _ = type_i_merge_with_record(
-                aug, MoveSite(face=shared.id, dart_a=a, dart_b=b)
-            )
-            return out, pushes
+        path_faces, path_steps = _dual_bfs(d, faces, src_edges, tgt_edges)
+        f0 = path_faces[0]
+        face_darts = faces[f0].darts
+        lead = min(dart for dart in face_darts if d.edge_of(dart) in src_edges)
+        if not path_steps:
+            b = min(dart for dart in face_darts if d.edge_of(dart) in tgt_edges)
+            site = MoveSite(face=f0, dart_a=lead, dart_b=b)
+            return type_i_merge(aug, site), pushes
 
-        path_faces, path_steps = _dual_bfs(d, src_edges, tgt_edges)
         distance = len(path_steps)
         if last_distance is not None and distance >= last_distance:
             raise InternalInvariantError(
                 f"propagation stalled at dual distance {distance}"
             )
         last_distance = distance
-        f0 = path_faces[0]
-        lead = min(
-            dart for dart in faces[f0].darts if d.edge_of(dart) in src_edges
-        )
-        aug, record = type_ii_push_with_record(
+        aug, record = type_ii_push(
             aug, MoveSite(face=f0, dart_a=lead, dart_b=path_steps[0])
         )
         src_edges.discard(d.edge_of(lead))
         src_edges.update(record.arc_parts)
         pushes += 1
-
-
-def merge_all(aug: AugmentedDiagram) -> AugmentedDiagram:
-    out, _ = merge_all_with_stats(aug)
-    return out
-
-
-def merge_all_with_stats(
-    aug: AugmentedDiagram,
-) -> tuple[AugmentedDiagram, PipelineStats]:
-    """Merge until at most one circle remains (identity for 0 or 1)."""
-    pushes = 0
-    merges = 0
-    while aug.circle_count >= 2:
-        aug, p = merge_once_with_stats(aug)
-        pushes += p
-        merges += 1
-    return aug, PipelineStats(pushes=pushes, merges=merges)
-
-
-def full_pipeline(diagram: Diagram) -> AugmentedDiagram:
-    out, _ = full_pipeline_with_stats(diagram)
-    return out
 
 
 def full_pipeline_with_stats(
@@ -275,4 +233,11 @@ def full_pipeline_with_stats(
     out alternating with exactly one augmenting circle and its original
     edges intact.
     """
-    return merge_all_with_stats(augment_regions(diagram))
+    aug = augment_regions(diagram)
+    pushes = 0
+    merges = 0
+    while aug.circle_count >= 2:
+        aug, p = merge_once_with_stats(aug)
+        pushes += p
+        merges += 1
+    return aug, PipelineStats(pushes=pushes, merges=merges)

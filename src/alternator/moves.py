@@ -11,10 +11,10 @@ Two moves act on arcs that share a face:
 * ``type_ii_push`` pushes the middle of a circle arc across one other edge
   of the face, creating two new crossings where they meet; the middle
   segment comes to lie on the far side of the crossed edge.  The over/under
-  choice at the two new crossings is found by trying all four assignments
-  and keeping the first that restores alternation (preferring the pushed
-  strand over at the first crossing); on alternating input exactly one
-  assignment works.
+  choice at the two new crossings is forced: each outer piece of the pushed
+  arc must alternate with the untouched end it keeps, which fixes one
+  crossing each.  The six new edges are then checked locally, and a
+  mismatch raises :class:`NoAlternatingAssignment`.
 
 Both moves preserve the original-edge restriction, the Euler
 characteristic, and circle simplicity (the push only when the crossed edge
@@ -51,11 +51,6 @@ class MoveSite:
 
 
 @dataclass(frozen=True)
-class MergeRecord:
-    new_edges: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class PushRecord:
     arc_parts: tuple[int, int, int]  # pushed arc pieces; middle is [1]
     crossed_parts: tuple[int, int, int]  # crossed edge pieces
@@ -83,13 +78,6 @@ def _circle_of_edge(aug: AugmentedDiagram) -> dict[int, int]:
 
 
 def type_i_merge(aug: AugmentedDiagram, site: MoveSite) -> AugmentedDiagram:
-    new_aug, _ = type_i_merge_with_record(aug, site)
-    return new_aug
-
-
-def type_i_merge_with_record(
-    aug: AugmentedDiagram, site: MoveSite
-) -> tuple[AugmentedDiagram, MergeRecord]:
     """Band connect-sum of two circles through a shared face."""
     d = aug.diagram
     _site_darts(aug, site)
@@ -118,15 +106,10 @@ def type_i_merge_with_record(
         raise PlanarityBroken(f"band merge broke the sphere: {exc}") from exc
     if was_alternating and not dgm.is_alternating(out):
         raise AlternationBroken("band merge destroyed alternation")
-    return make_augmented(out, aug.provenance), MergeRecord(new_edges=(e1, e2))
+    return make_augmented(out, aug.provenance)
 
 
-def type_ii_push(aug: AugmentedDiagram, site: MoveSite) -> AugmentedDiagram:
-    new_aug, _ = type_ii_push_with_record(aug, site)
-    return new_aug
-
-
-def type_ii_push_with_record(
+def type_ii_push(
     aug: AugmentedDiagram, site: MoveSite
 ) -> tuple[AugmentedDiagram, PushRecord]:
     """Finger push of a circle arc across one other edge of the face."""
@@ -169,32 +152,20 @@ def type_ii_push_with_record(
         for piece in (cr1, cr2, cr3):
             provenance[piece] = lineage
 
-    old_label = {dart: dgm.end_label(d, dart) for dart in (p, p2, q, q2)}
-
-    def local_alternating(a1: int, a2: int) -> bool:
-        new_label = {}
-        for slot in range(4):
-            new_label[x1[slot]] = Sign.PLUS if slot % 2 == a1 else Sign.MINUS
-            new_label[x2[slot]] = Sign.PLUS if slot % 2 == a2 else Sign.MINUS
-
-        def sign_of(dart):
-            return new_label[dart] if dart in new_label else old_label[dart]
-
-        for e in (arc1, arc2, arc3, cr1, cr2, cr3):
-            s, t = edges[e].darts
-            if sign_of(s) is sign_of(t):
-                return False
-        return True
-
-    chosen = None
-    for a1, a2 in ((1, 1), (1, 0), (0, 1), (0, 0)):
-        if local_alternating(a1, a2):
-            chosen = (a1, a2)
-            break
-    if chosen is None:
-        raise NoAlternatingAssignment(
-            "no over/under choice at the new crossings restores alternation"
-        )
+    # arc3 ends at slot 1 of the first new crossing and arc1 at slot 1 of
+    # the second; alternation along those two edges forces both axes
+    label = {dart: dgm.end_label(d, dart) for dart in (p, p2, q, q2)}
+    chosen = (int(label[p2] is Sign.MINUS), int(label[p] is Sign.MINUS))
+    for slot in range(4):
+        label[x1[slot]] = Sign.PLUS if slot % 2 == chosen[0] else Sign.MINUS
+        label[x2[slot]] = Sign.PLUS if slot % 2 == chosen[1] else Sign.MINUS
+    for e in (arc1, arc2, arc3, cr1, cr2, cr3):
+        s, t = edges[e].darts
+        if label[s] is label[t]:
+            raise NoAlternatingAssignment(
+                "the forced over/under choice at the new crossings does not "
+                "restore alternation"
+            )
 
     crossings = dict(d.crossings)
     crossings[c1] = Crossing(id=c1, rotation=x1, over_axis=chosen[0])

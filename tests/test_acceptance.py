@@ -132,7 +132,7 @@ def test_criterion_3_moves_preserve_alternation():
             assert out.circle_count == aug.circle_count - 1
         for d, aug, site in push_sites:
             try:
-                out = type_ii_push(aug, site)
+                out, _ = type_ii_push(aug, site)
             except NoAlternatingAssignment:
                 assignment_failures += 1
                 continue

@@ -2,7 +2,6 @@ import pytest
 
 from alternator.augment import (
     augment_regions,
-    circles_of,
     compute_circles,
     make_augmented,
     region_incidences,
@@ -135,10 +134,10 @@ class TestAugmentRegions:
 
 class TestCircles:
     def test_no_augment_edges_no_circles(self, trefoil):
-        assert circles_of(augment_regions(trefoil)) == []
+        assert augment_regions(trefoil).circles == ()
 
     def test_granny_circle(self, granny):
-        circles = circles_of(augment_regions(granny))
+        circles = augment_regions(granny).circles
         assert len(circles) == 1
         assert len(circles[0].edges) == 2
 

@@ -90,6 +90,25 @@ class TestRun:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_rejects_own_output(self, flip_file, tmp_path, capsys):
+        # run | run --verify: the second run must refuse, not fail to verify
+        assert main(["run", flip_file]) == 0
+        result = tmp_path / "result.pd"
+        result.write_text(capsys.readouterr().out)
+        assert main(["run", "--verify", str(result)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "augmenting edges" in captured.err
+        assert "alternator verify" in captured.err
+
+    def test_rejects_augment_block_label(self, tmp_path, capsys):
+        path = tmp_path / "tagged.pd"
+        path.write_text(FLIPPED_TREFOIL + " A{1}\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "augmenting edges" in err
+        assert "strand changes tag" not in err
+
 
 class TestGen:
     def test_count_records(self, capsys):

@@ -14,7 +14,7 @@ from alternator.codec import (
 from alternator.diagram import Tag, is_alternating, non_alternating_edges
 from alternator.errors import PdSyntaxError
 from alternator.gen import random_diagram
-from alternator.merge import full_pipeline
+from alternator.merge import full_pipeline_with_stats
 from alternator.verify import verify
 
 from conftest import FLIPPED_TREFOIL, TREFOIL
@@ -76,7 +76,7 @@ class TestEmit:
         assert canonical_pd(again) == canonical_pd(d)
 
     def test_round_trip_with_tags(self):
-        out = full_pipeline(parse_pd(FLIPPED_TREFOIL))
+        out, _ = full_pipeline_with_stats(parse_pd(FLIPPED_TREFOIL))
         text = emit_pd(out.diagram)
         again = parse_pd(text)
         assert canonical_pd(again) == canonical_pd(out.diagram)
@@ -86,7 +86,7 @@ class TestEmit:
         )
 
     def test_pipeline_output_names_one_circle(self):
-        out = full_pipeline(parse_pd(FLIPPED_TREFOIL))
+        out, _ = full_pipeline_with_stats(parse_pd(FLIPPED_TREFOIL))
         code = parse_pd_code(emit_pd(out.diagram))
         assert code.augment_labels  # non-empty A block
         # the named labels form a single closed augmenting walk
@@ -147,7 +147,7 @@ class TestJson:
         assert emit_json(back) == text
 
     def test_report_embedding(self, flipped_trefoil):
-        out = full_pipeline(flipped_trefoil)
+        out, _ = full_pipeline_with_stats(flipped_trefoil)
         report = verify(flipped_trefoil, out, 1)
         doc = json.loads(emit_json(out.diagram, report))
         assert doc["report"]["passed"] is True

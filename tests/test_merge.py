@@ -6,10 +6,7 @@ from alternator.gen import braid_closure, random_diagram
 from alternator.merge import (
     components,
     find_dual_path,
-    full_pipeline,
     full_pipeline_with_stats,
-    merge_all,
-    merge_once,
     merge_once_with_stats,
 )
 from alternator.verify import restriction, verify
@@ -180,22 +177,25 @@ class TestMergeOnce:
     def test_rejects_fewer_than_two_circles(self, granny):
         aug = augment_regions(granny)
         with pytest.raises(ValueError):
-            merge_once(aug)
+            merge_once_with_stats(aug)
 
 
 class TestMergeAll:
     def test_identity_without_circles(self, trefoil):
         aug = augment_regions(trefoil)
-        assert merge_all(aug) is aug or merge_all(aug).diagram == aug.diagram
+        out, stats = full_pipeline_with_stats(trefoil)
+        assert out.diagram == aug.diagram
+        assert stats.merges == 0
 
     def test_identity_with_one_circle(self, granny):
         aug = augment_regions(granny)
-        out = merge_all(aug)
+        out, stats = full_pipeline_with_stats(granny)
         assert out.diagram == aug.diagram
+        assert stats.merges == 0
 
     def test_reaches_one_circle(self):
         for d, aug in multi_circle_augs(20):
-            out = merge_all(aug)
+            out, _ = full_pipeline_with_stats(d)
             assert out.circle_count == 1
             assert is_alternating(out.diagram)
             assert restriction(out) == d
@@ -203,7 +203,7 @@ class TestMergeAll:
 
 class TestFullPipeline:
     def test_alternating_passthrough(self, trefoil):
-        out = full_pipeline(trefoil)
+        out, _ = full_pipeline_with_stats(trefoil)
         assert out.diagram == trefoil
         assert out.circle_count == 0
 

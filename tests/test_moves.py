@@ -13,11 +13,11 @@ from alternator.moves import (
     MoveSite,
     type_i_merge,
     type_ii_push,
-    type_ii_push_with_record,
 )
 from alternator.verify import restriction
 
-from conftest import harvest_type_i_sites, harvest_type_ii_sites
+from conftest import harvest_type_i_sites, harvest_type_ii_sites, toggle_over_axis
+from test_acceptance import _collect_sites
 
 
 def multi_circle_cases(n):
@@ -111,7 +111,7 @@ class TestTypeIIPush:
     def test_adds_two_crossings(self, granny):
         aug = augment_regions(granny)
         for site in harvest_type_ii_sites(aug)[:6]:
-            out = type_ii_push(aug, site)
+            out, _ = type_ii_push(aug, site)
             assert out.diagram.num_crossings == aug.diagram.num_crossings + 2
             assert out.circle_count == aug.circle_count
 
@@ -123,7 +123,7 @@ class TestTypeIIPush:
                 continue
             aug = augment_regions(d)
             for site in harvest_type_ii_sites(aug)[:3]:
-                out = type_ii_push(aug, site)
+                out, _ = type_ii_push(aug, site)
                 assert is_alternating(out.diagram)
                 assert out.diagram.euler_characteristic() == 2
                 assert restriction(out) == d
@@ -133,7 +133,7 @@ class TestTypeIIPush:
     def test_push_then_push_back_keeps_restriction(self, granny):
         aug = augment_regions(granny)
         site = harvest_type_ii_sites(aug)[0]
-        once, record = type_ii_push_with_record(aug, site)
+        once, record = type_ii_push(aug, site)
         mid_arc = record.arc_parts[1]
         mid_crossed = record.crossed_parts[1]
         d = once.diagram
@@ -144,14 +144,16 @@ class TestTypeIIPush:
         )
         a = next(x for x in back_face.darts if d.edge_of(x) == mid_arc)
         b = next(x for x in back_face.darts if d.edge_of(x) == mid_crossed)
-        twice = type_ii_push(once, MoveSite(face=back_face.id, dart_a=a, dart_b=b))
+        twice, _ = type_ii_push(
+            once, MoveSite(face=back_face.id, dart_a=a, dart_b=b)
+        )
         assert twice.diagram.num_crossings == aug.diagram.num_crossings + 4
         assert restriction(twice) == restriction(aug)
 
     def test_new_crossings_mix_strands(self, granny):
         aug = augment_regions(granny)
         site = harvest_type_ii_sites(aug)[0]
-        out, record = type_ii_push_with_record(aug, site)
+        out, record = type_ii_push(aug, site)
         for cid in record.new_crossings:
             tags = {
                 out.diagram.edges[out.diagram.edge_of(x)].tag
@@ -177,6 +179,22 @@ class TestTypeIIPush:
     def test_assignment_search_is_deterministic(self, granny):
         aug = augment_regions(granny)
         site = harvest_type_ii_sites(aug)[0]
-        r1 = type_ii_push_with_record(aug, site)[1]
-        r2 = type_ii_push_with_record(aug, site)[1]
+        r1 = type_ii_push(aug, site)[1]
+        r2 = type_ii_push(aug, site)[1]
         assert r1 == r2
+
+    def test_forced_assignment_is_the_only_alternating_one(self):
+        # the old four-way over/under search as an oracle, on the push sites
+        # of acceptance criterion 3: toggling either new crossing, or both,
+        # must break alternation
+        for _, aug, site in _collect_sites("push", 500):
+            out, record = type_ii_push(aug, site)
+            assert is_alternating(out.diagram)
+            # the pushed strand passes over at exactly one new crossing
+            assert record.over_axes[0] != record.over_axes[1]
+            c1, c2 = record.new_crossings
+            for toggled in ((c1,), (c2,), (c1, c2)):
+                d = out.diagram
+                for cid in toggled:
+                    d = toggle_over_axis(d, cid)
+                assert not is_alternating(d)

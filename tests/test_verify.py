@@ -6,7 +6,7 @@ from alternator.augment import augment_regions, from_parsed
 from alternator.codec import emit_pd, parse_pd
 from alternator.errors import DegreeViolation
 from alternator.gen import random_diagram
-from alternator.merge import full_pipeline, full_pipeline_with_stats
+from alternator.merge import full_pipeline_with_stats
 from alternator.verify import restriction, verify
 
 from conftest import flip_tag, toggle_over_axis
@@ -29,7 +29,7 @@ class TestRestriction:
     def test_inverts_full_pipeline(self):
         for seed in range(30):
             d = random_diagram(2 + seed % 3, 9 + seed % 8, seed)
-            assert restriction(full_pipeline(d)) == d
+            assert restriction(full_pipeline_with_stats(d)[0]) == d
 
     def test_degree_violation_on_tampered_tag(self, granny):
         aug = augment_regions(granny)
@@ -39,7 +39,7 @@ class TestRestriction:
             restriction(bad)
 
     def test_without_provenance_uses_fresh_ids(self, flipped_trefoil):
-        out = full_pipeline(flipped_trefoil)
+        out, _ = full_pipeline_with_stats(flipped_trefoil)
         reparsed = from_parsed(parse_pd(emit_pd(out.diagram)))
         r = restriction(reparsed)
         assert r.num_crossings == flipped_trefoil.num_crossings
@@ -60,13 +60,13 @@ class TestVerify:
         assert report.passed
 
     def test_wrong_expected_circles_fails(self, flipped_trefoil):
-        out = full_pipeline(flipped_trefoil)
+        out, _ = full_pipeline_with_stats(flipped_trefoil)
         report = verify(flipped_trefoil, out, 2)
         assert not report.passed
         assert report.circle_count == 1
 
     def test_toggled_over_axis_detected(self, flipped_trefoil):
-        out = full_pipeline(flipped_trefoil)
+        out, _ = full_pipeline_with_stats(flipped_trefoil)
         for cid in out.diagram.crossings:
             bad = replace_diagram(
                 out, toggle_over_axis(out.diagram, cid)
@@ -76,14 +76,14 @@ class TestVerify:
             assert not (report.alternating and report.restriction_ok)
 
     def test_flipped_tag_detected(self, flipped_trefoil):
-        out = full_pipeline(flipped_trefoil)
+        out, _ = full_pipeline_with_stats(flipped_trefoil)
         for eid in out.diagram.edges:
             bad = replace_diagram(out, flip_tag(out.diagram, eid))
             report = verify(flipped_trefoil, bad, 1)
             assert not report.passed, f"edge {eid} tag flip went unnoticed"
 
     def test_never_raises_on_tampered_input(self, flipped_trefoil):
-        out = full_pipeline(flipped_trefoil)
+        out, _ = full_pipeline_with_stats(flipped_trefoil)
         for eid in out.diagram.edges:
             bad = replace_diagram(out, flip_tag(out.diagram, eid))
             verify(flipped_trefoil, bad, 1)  # must not throw
@@ -91,7 +91,7 @@ class TestVerify:
     def test_verify_from_text_round_trip(self, flipped_trefoil):
         # parsing the emitted result loses provenance; canonical comparison
         # still certifies the restriction
-        out = full_pipeline(flipped_trefoil)
+        out, _ = full_pipeline_with_stats(flipped_trefoil)
         reparsed = from_parsed(parse_pd(emit_pd(out.diagram)))
         report = verify(flipped_trefoil, reparsed, 1)
         assert report.passed
